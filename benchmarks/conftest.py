@@ -19,16 +19,12 @@ Perf regression gate: tests record named throughput points through the
 ``perf_point`` fixture; at session end they are written to
 ``BENCH_perf.json`` (``repro.perf.bench/1``, path overridable via
 ``REPRO_BENCH_PERF``) *normalized by a host-speed calibration loop*, and
-checked against the rules in ``GATED_POINTS``.  Two rule kinds: a *drop*
-rule compares a point's field against the committed
-``benchmarks/BENCH_perf_baseline.json`` and fails on a fractional drop
-beyond the tolerance (``REPRO_PERF_GATE_TOLERANCE`` overrides it, default
-25% for ``measure.unfold.throughput``); a *floor* rule fails when the field
-falls below an absolute minimum regardless of baseline — used for
-host-independent ratios like the cached-vs-uncached unfold speedup
-(conservative floor 2x; the baseline records ~9.5x).  Set
-``REPRO_PERF_GATE=off`` to record without gating (e.g. when refreshing the
-baseline).
+checked against the rules in ``GATED_POINTS``: each compares a point's
+field against the committed ``benchmarks/BENCH_perf_baseline.json`` and
+fails on a fractional drop beyond the tolerance
+(``REPRO_PERF_GATE_TOLERANCE`` overrides it, default 25% for
+``measure.unfold.throughput``).  Set ``REPRO_PERF_GATE=off`` to record
+without gating (e.g. when refreshing the baseline).
 """
 
 import json
@@ -43,13 +39,11 @@ from repro.perf import cache as perf_cache
 TRAJECTORY_SCHEMA = "repro.obs.bench-trajectory/1"
 PERF_SCHEMA = "repro.perf.bench/1"
 
-#: The points the gate enforces: name -> ("drop", field, tolerance) fails
-#: when the field falls more than the fractional tolerance below the
-#: committed baseline; ("floor", field, minimum) fails when the field is
-#: below an absolute minimum, baseline or not.
+#: The points the gate enforces: name -> (field, tolerance) fails when the
+#: field falls more than the fractional tolerance below the committed
+#: baseline.
 GATED_POINTS = {
-    "measure.unfold.throughput": ("drop", "normalized", 0.25),
-    "measure.unfold.cached_vs_uncached": ("floor", "speedup", 2.0),
+    "measure.unfold.throughput": ("normalized", 0.25),
 }
 
 _RUNS = {}
@@ -142,21 +136,12 @@ def _finish_perf(session):
         with open(_baseline_path(), "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
     except (OSError, json.JSONDecodeError):
-        baseline = None  # no baseline committed yet: floor rules still apply
+        return  # no baseline committed yet: nothing to gate against
     tolerance_override = os.environ.get("REPRO_PERF_GATE_TOLERANCE")
     regressions = []
-    for name, (kind, field, limit) in GATED_POINTS.items():
+    for name, (field, limit) in GATED_POINTS.items():
         new = _PERF_POINTS.get(name, {}).get(field)
         if new is None:
-            continue
-        if kind == "floor":
-            if new < limit:
-                regressions.append(
-                    f"{name}: {field} {new:.4f} is below the absolute "
-                    f"floor {limit:.1f}"
-                )
-            continue
-        if baseline is None:
             continue
         base = baseline.get("points", {}).get(name, {}).get(field)
         if base is None:

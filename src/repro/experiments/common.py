@@ -358,7 +358,9 @@ def _attempt_inline(
         _trace.TRACER.clear()
         _trace.enable()
     profiling_was_enabled = _profile.PROFILER.enabled
-    if profile_path is not None:
+    if profile_path is not None or profiling_was_enabled:
+        # Same fresh slate as the isolated child: the lanes this attempt
+        # reports must hold its own work, not the experiments before it.
         _profile.PROFILER.clear()
         _profile.PROFILER.enable()
     try:

@@ -14,7 +14,7 @@ Performance (see ``docs/performance.md``)::
     python -m repro.experiments.runner --parallel 4    # 4 experiments at a time
     python -m repro.experiments.runner --cache off     # disable memoization
     python -m repro.experiments.runner --cache stats   # print cache statistics
-    python -m repro.experiments.runner --cache-dir .cache/repro    # persist it
+    python -m repro.experiments.runner --cache-dir .cache/repro    # persist sweeps
     python -m repro.experiments.runner --backend fork:4             # inner sweeps
     python -m repro.experiments.runner --backend socket:host:9001   # ... on a pool
     python -m repro.experiments.runner --backend pool:3 --supervise # self-healing
@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     silently clobbered by the flag's default the way it once was."""
     parser = argparse.ArgumentParser(
         description="Run the reproduction's experiment suite.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("experiments", nargs="*", help="experiment ids (default: all)")
     parser.add_argument("--full", action="store_true", help="run the larger sweeps")
@@ -124,19 +123,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=600.0,
-        help="wall-clock seconds per experiment attempt (0 disables)",
+        help="wall-clock seconds per experiment attempt, 0 disables (default: 600)",
     )
     parser.add_argument(
         "--retries",
         type=int,
         default=0,
-        help="extra attempts for a non-passing experiment (seed rotates per attempt)",
+        help=(
+            "extra attempts for a non-passing experiment, the seed rotating per "
+            "attempt (default: 0)"
+        ),
     )
     parser.add_argument(
         "--seed",
         type=int,
         default=None,
-        help="base seed for sampling experiments (attempt i runs under seed+i)",
+        help=(
+            "base seed for sampling experiments, attempt i runs under seed+i "
+            "(default: each experiment's own seed)"
+        ),
     )
     parser.add_argument(
         "--keep-going",
@@ -163,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run up to N experiments concurrently (requires isolation)",
+        help="run up to N experiments concurrently, requires isolation (default: 1)",
     )
     parser.add_argument(
         "--cache",
@@ -179,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "disk-backed content-addressed cache (exported as REPRO_CACHE_DIR; "
-            "unfoldings and sweep results persist across runs and processes)"
+            "disk-backed store of whole sweep results, exported as REPRO_CACHE_DIR; "
+            "only sweep results persist across runs and processes "
+            "(default: REPRO_CACHE_DIR, else none)"
         ),
     )
     parser.add_argument(
@@ -205,7 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock bound per sweep chunk on remote backends (0 disables)",
+        help=(
+            "wall-clock bound per sweep chunk on remote backends, 0 disables "
+            "(default: REPRO_CHUNK_DEADLINE, else 600)"
+        ),
     )
     parser.add_argument(
         "--trace-dir",

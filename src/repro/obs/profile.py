@@ -36,7 +36,7 @@ phase                 anchors
 ``fragment.decide``   every ``Scheduler.decide`` implementation
 ``scheduler.step``    ``Scheduler.decide_checked`` (the checked step wrapper)
 ``pca.transition``    ``preserving_transition`` / ``intrinsic_transition``
-``cache.lookup``      ``repro.perf.cache`` lookups (``cached_*``, ``get``/``put``)
+``cache.lookup``      ``repro.perf.cache`` lookups (``cached_transition``, ``get``/``put``)
 ``transport.pickle``  ``repro.perf.pickling`` and the stdlib (C) pickler
 ====================  =========================================================
 
@@ -103,8 +103,6 @@ BUILTIN_ANCHORS: Dict[Tuple[str, str], str] = {
     ("repro.config.transitions", "preserving_transition"): "pca.transition",
     ("repro.config.transitions", "intrinsic_transition"): "pca.transition",
     ("repro.perf.cache", "cached_transition"): "cache.lookup",
-    ("repro.perf.cache", "cached_decision"): "cache.lookup",
-    ("repro.perf.cache", "cached_unfolding"): "cache.lookup",
     ("repro.perf.cache", "get"): "cache.lookup",
     ("repro.perf.cache", "put"): "cache.lookup",
     ("repro.perf.pickling", "dumps"): "transport.pickle",

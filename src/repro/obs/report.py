@@ -298,7 +298,7 @@ def cache_summary(
 ) -> Dict[str, Any]:
     """Aggregate the perf-layer counters across per-experiment records.
 
-    Sums every ``perf.cache.*`` / ``perf.intern.*`` / ``perf.parallel.*``
+    Sums every ``perf.cache.*`` / ``perf.parallel.*``
     counter (each experiment starts from a cleared cache, so the sums are
     deterministic and independent of runner parallelism).  ``persistent``
     is the active :class:`repro.perf.store.PersistentStore`'s ``stats()``
@@ -308,7 +308,7 @@ def cache_summary(
     totals: Dict[str, int] = {}
     for record in records:
         for name, value in record.get("counters", {}).items():
-            if name.startswith(("perf.cache.", "perf.intern.", "perf.parallel.")):
+            if name.startswith(("perf.cache.", "perf.parallel.")):
                 totals[name] = totals.get(name, 0) + value
     block: Dict[str, Any] = {
         "enabled": bool(enabled),

@@ -4,16 +4,13 @@ Two orthogonal tools, both contract-bound to change *nothing* about
 results (the differential suite ``tests/test_perf_differential.py`` is the
 enforcement arm):
 
-* :mod:`repro.perf.cache` — transparent memoization of transitions,
-  scheduler decisions and whole unfoldings, plus hash-consing (interning)
-  of :class:`~repro.core.executions.Fragment` and exact
-  :class:`~repro.probability.measures.DiscreteMeasure` objects.  Gated by
-  ``REPRO_CACHE`` (default on).  Entries are keyed by the canonical
-  structural fingerprints of :mod:`repro.perf.fingerprint` once those are
-  paid for (identity until then), and ``REPRO_CACHE_DIR`` /
-  ``--cache-dir`` layers the disk-backed :mod:`repro.perf.store` on top:
-  unfoldings and whole sweep results persist across processes and
-  restarts, and fork/socket workers dedupe against the same tree.
+* :mod:`repro.perf.cache` — transparent, identity-keyed, LRU-bounded
+  memoization of automaton transitions.  Gated by ``REPRO_CACHE``
+  (default on).  ``REPRO_CACHE_DIR`` / ``--cache-dir`` adds the
+  disk-backed :mod:`repro.perf.store`: whole sweep results, keyed by the
+  canonical structural fingerprints of :mod:`repro.perf.fingerprint`,
+  persist across processes and restarts, and fork/socket workers dedupe
+  against the same tree.
 * :func:`parallel_map` over pluggable **execution backends**
   (:mod:`repro.perf.backends`): ``serial`` (in-process), ``fork:N``
   (forked children on this host) and ``socket:host:port,...`` (a TCP
@@ -52,13 +49,9 @@ from repro.perf.backends import (
 from repro.perf.cache import (
     CACHE,
     cache_enabled,
-    cached_derived,
     clear as clear_caches,
     configure as configure_cache,
-    intern_fragment,
-    intern_measure,
     invalidate,
-    owner_key,
     stats as cache_stats,
 )
 # Importing the submodule binds ``repro.perf.fingerprint`` (the module) as a
@@ -84,11 +77,8 @@ from repro.perf.supervise import (
 __all__ = [
     "CACHE",
     "cache_enabled",
-    "cached_derived",
     "clear_caches",
     "configure_cache",
-    "intern_fragment",
-    "intern_measure",
     "invalidate",
     "cache_stats",
     "ParallelWorkerError",
@@ -111,7 +101,6 @@ __all__ = [
     "fingerprint",
     "try_fingerprint",
     "Unfingerprintable",
-    "owner_key",
     "PersistentStore",
     "active_store",
 ]

@@ -1,63 +1,54 @@
-"""Transparent memoization for the unfolding engine (the ``repro.perf`` cache).
+"""Transparent memoization of automaton transitions (the ``repro.perf`` cache).
 
-The execution-measure machinery recomputes the same pure values over and
-over: ``PSIOA.transition(state, action)`` is a pure function of its
-arguments (transition determinism, Definition 2.1), scheduler decisions are
-pure functions of ``(automaton, fragment)`` (Definition 3.1 schedulers are
-maps, and every scheduler shipped by the library decides by replaying the
-fragment), and a full unfolding ``execution_measure(A, sigma)`` is a pure
-function of the pair.  This module caches all three behind the call sites
-that already exist, so enabling the cache changes *nothing* about results —
-only about how often the underlying computations run.  Exactness is
-preserved by construction: cached values are the very objects the
-uncached computation produced, and interning only unifies objects that
-compare equal under exact (rational) arithmetic.
+``PSIOA.transition(state, action)`` is a pure function of its arguments
+(transition determinism, Definition 2.1), and the unfolding engine asks
+for the same ``eta_(A, q, a)`` over and over — once per fragment ending in
+``q`` that schedules ``a``.  This module memoizes exactly that lookup
+behind the call site that already exists, so enabling the cache changes
+*nothing* about results — only about how often the automaton's raw
+transition function runs.  Exactness is preserved by construction: a
+cached value is the very object the uncached computation produced.
 
-Content hashes are the cache key, identity the fallback
--------------------------------------------------------
-Owner keys come from :func:`owner_key`: once an object's canonical
-structural fingerprint (:mod:`repro.perf.fingerprint`) has been memoized —
-which happens the first time a memo boundary such as the unfolding memo or
-the sweep memo pays for it — its entries are keyed ``("fp", digest)``, so
-*value-equal* automata and schedulers share entries within and across
-processes.  Until then (and always, when no persistent store is active)
-keys stay ``("id", id(obj))``: fingerprints are never computed on the hot
-path, so the store-less configuration is byte- and cost-identical to the
-identity-keyed cache.  Every store keeps a strong reference to the objects
-behind its keys (the *keepalive*), so an id-derived key can never be
-recycled by the allocator while its entries are live.  The cost is that
-cached objects stay alive until their entries are evicted — the LRU bounds
-below cap that.
+It is the only in-memory tier: over the fast suite and the paper's
+kernels at scale, transitions hit about 60 % of the time, while memos of
+scheduler decisions, whole unfoldings, derived alphabets and interned
+fragments or measures almost never hit (counters in
+``docs/performance.md``).  The paper's kernels
+(:mod:`repro.semantics.measure`) therefore carry no perf code at all.
+
+Identity keys and keepalives
+----------------------------
+Entries are keyed by the automaton's identity.  ``PSIOA.__eq__`` compares
+names only, so value equality is never enough to share entries.  The
+store keeps a strong reference to each automaton it holds entries for
+(the *keepalive*), so an ``id()`` key can never be recycled by the
+allocator while its entries are live.  The LRU bounds below cap how long
+cached automata stay alive.
 
 Invalidation
 ------------
 Mutating an automaton in place (e.g. editing a ``TablePSIOA`` table) makes
 its cached transitions stale.  Call :func:`invalidate` with the mutated
-object to drop every entry derived from it (transitions, decisions,
-memoized measures, derived values) from **both tiers**: in-memory entries
-under its identity *and* under its stale fingerprint are dropped, the
-fingerprint memo forgets the object, and any active persistent store
-(:mod:`repro.perf.store`) removes the entries that depended on the stale
-digest.  :func:`clear` drops everything in-memory.  Fresh-per-run
-isolation is automatic in the experiment harness: the guarded runner
-clears the cache at the start of every experiment child.
+object to drop its entries.  It also makes the fingerprint memo forget
+the object and, when a persistent store is active, drops the stored sweep
+results, which may have captured the old structure.  :func:`clear` drops
+everything in-memory.  The guarded experiment runner clears the cache at
+the start of every experiment, so runs never share warmth.
 
 Configuration
 -------------
 The environment variable ``REPRO_CACHE`` (``on``/``off``, default ``on``)
-sets the initial state; :func:`configure` overrides it at runtime.  All
-stores publish ``perf.cache.<store>.{hits,misses,evictions}`` counters and
-``perf.intern.<kind>.{hits,misses}`` counters on the global
-:mod:`repro.obs.metrics` registry, so cache behaviour shows up in run
-reports and bench trajectories without extra plumbing.
+sets the initial state; :func:`configure` overrides it at runtime.  The
+store publishes ``perf.cache.transition.{hits,misses,evictions}`` counters
+on the global :mod:`repro.obs.metrics` registry, so cache behaviour shows
+up in run reports and bench trajectories without extra plumbing.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from fractions import Fraction
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.obs.metrics import counter as _counter
 from repro.perf import fingerprint as _fingerprint
@@ -67,33 +58,18 @@ __all__ = [
     "CACHE",
     "cache_enabled",
     "configure",
-    "owner_key",
     "cached_transition",
-    "cached_decision",
-    "cached_derived",
-    "measure_cache_get",
-    "measure_cache_put",
-    "intern_fragment",
-    "intern_measure",
     "invalidate",
     "clear",
     "stats",
 ]
 
-#: Default size bounds.  Per-owner entry caps bound the width of a single
-#: automaton's table; owner caps bound how many distinct automata/scheduler
-#: pairs are tracked at once (least-recently-used owners are dropped whole).
+#: Default size bounds.  The entry cap bounds the width of a single
+#: automaton's table; the owner cap bounds how many distinct automata are
+#: tracked at once (least-recently-used owners are dropped whole).
 DEFAULT_BOUNDS = {
     "transition_owners": 256,
     "transition_entries": 16384,
-    "decision_owners": 512,
-    "decision_entries": 16384,
-    "measure_owners": 256,
-    "measure_entries": 512,
-    "derived_owners": 512,
-    "derived_entries": 64,
-    "intern_fragments": 65536,
-    "intern_measures": 16384,
 }
 
 
@@ -109,9 +85,9 @@ def _env_enabled() -> bool:
 class _BoundedStore:
     """A two-level LRU store: owner -> (keepalive, key -> value).
 
-    ``owner`` is an id-derived hashable; ``keepalive`` is the object (or
-    tuple of objects) whose identity the owner encodes — held strongly so
-    the id stays valid for the lifetime of the entries.
+    ``owner`` is an id-derived hashable; ``keepalive`` is the object whose
+    identity the owner encodes — held strongly so the id stays valid for
+    the lifetime of the entries.
     """
 
     __slots__ = ("name", "max_owners", "max_entries", "_owners", "hits", "misses", "evictions")
@@ -157,32 +133,9 @@ class _BoundedStore:
         self._owners.move_to_end(owner)
 
     def invalidate_object(self, obj: Any) -> int:
-        """Drop every owner whose keepalive contains ``obj`` (by identity)."""
-        stale = []
-        for owner, (keepalive, _entries) in self._owners.items():
-            if keepalive is obj or (
-                isinstance(keepalive, tuple) and any(part is obj for part in keepalive)
-            ):
-                stale.append(owner)
-        dropped = 0
-        for owner in stale:
-            dropped += len(self._owners.pop(owner)[1])
-        return dropped
-
-    def invalidate_key(self, part: Hashable) -> int:
-        """Drop every owner keyed by ``part`` (an :func:`owner_key` value),
-        including composite owners that embed it.  Fingerprint-keyed entries
-        can be shared by several value-equal objects, so identity scans
-        alone cannot reach them."""
-        stale = [
-            owner
-            for owner in self._owners
-            if owner == part or (isinstance(owner, tuple) and part in owner)
-        ]
-        dropped = 0
-        for owner in stale:
-            dropped += len(self._owners.pop(owner)[1])
-        return dropped
+        """Drop every owner whose keepalive is ``obj`` (by identity)."""
+        stale = [owner for owner, (keepalive, _) in self._owners.items() if keepalive is obj]
+        return sum(len(self._owners.pop(owner)[1]) for owner in stale)
 
     def clear(self) -> None:
         self._owners.clear()
@@ -191,95 +144,8 @@ class _BoundedStore:
         return sum(len(entries) for _, entries in self._owners.values())
 
 
-class _Interner:
-    """Hash-consing table: maps a value-equal object to its canonical twin.
-
-    Tables are **scoped per owner** (per automaton identity).  Cross-owner
-    unification would be unsound: automaton equality is *name*-based
-    (Definition 2.1 identifies automata by their id), so two value-equal
-    configurations built by different PCA objects may embed behaviorally
-    different sub-automata.  Within one automaton, value-equal fragments and
-    measures are interchangeable — the reachability and unfolding engines
-    already dedup on exactly that equality.
-    """
-
-    __slots__ = ("name", "cap", "_owners", "hits", "misses")
-
-    def __init__(self, name: str, cap: int) -> None:
-        self.name = name
-        self.cap = cap
-        #: owner -> (keepalive, {obj: canonical twin})
-        self._owners: "OrderedDict[Hashable, Tuple[Any, Dict[Any, Any]]]" = OrderedDict()
-        self.hits = _counter(f"perf.intern.{name}.hits")
-        self.misses = _counter(f"perf.intern.{name}.misses")
-
-    def intern(self, owner: Hashable, keepalive: Any, obj: Any) -> Any:
-        slot = self._owners.get(owner)
-        if slot is None:
-            # Bound the number of tracked owners at the table cap's square
-            # root heuristic is overkill; reuse the entry cap and drop the
-            # least-recently-used owner whole.  Dropping loses sharing only.
-            while len(self._owners) >= 64:
-                self._owners.popitem(last=False)
-            slot = (keepalive, {})
-            self._owners[owner] = slot
-        table = slot[1]
-        canonical = table.get(obj)
-        if canonical is not None:
-            self.hits.inc()
-            return canonical
-        self.misses.inc()
-        if len(table) >= self.cap:
-            # FIFO eviction: dropping a canonical twin only loses sharing,
-            # never correctness.
-            table.pop(next(iter(table)))
-        table[obj] = obj
-        return obj
-
-    def invalidate_object(self, obj: Any) -> int:
-        stale = [
-            owner
-            for owner, (keepalive, _table) in self._owners.items()
-            if keepalive is obj
-        ]
-        dropped = 0
-        for owner in stale:
-            dropped += len(self._owners.pop(owner)[1])
-        return dropped
-
-    def invalidate_key(self, part: Hashable) -> int:
-        stale = [
-            owner
-            for owner in self._owners
-            if owner == part or (isinstance(owner, tuple) and part in owner)
-        ]
-        dropped = 0
-        for owner in stale:
-            dropped += len(self._owners.pop(owner)[1])
-        return dropped
-
-    def clear(self) -> None:
-        self._owners.clear()
-
-    def size(self) -> int:
-        return sum(len(table) for _, table in self._owners.values())
-
-
-def _weights_exact(measure: Any) -> bool:
-    """True when every weight participates in exact rational arithmetic.
-
-    Interning float-weighted measures would canonicalize values that are
-    only *tolerance*-equal, silently changing downstream float arithmetic;
-    exact weights compare by true equality, so unification is lossless.
-    """
-    for _outcome, weight in measure.items():
-        if not isinstance(weight, (int, Fraction)) or isinstance(weight, bool):
-            return False
-    return True
-
-
 class PerfCache:
-    """The process-global cache bundle (see the module docstring)."""
+    """The process-global transition memo (see the module docstring)."""
 
     def __init__(self, bounds: Optional[Dict[str, int]] = None) -> None:
         b = dict(DEFAULT_BOUNDS)
@@ -289,51 +155,24 @@ class PerfCache:
         self.transitions = _BoundedStore(
             "transition", b["transition_owners"], b["transition_entries"]
         )
-        self.decisions = _BoundedStore(
-            "decision", b["decision_owners"], b["decision_entries"]
-        )
-        self.measures = _BoundedStore("measure", b["measure_owners"], b["measure_entries"])
-        self.derived = _BoundedStore("derived", b["derived_owners"], b["derived_entries"])
-        self.fragments = _Interner("fragment", b["intern_fragments"])
-        self.measure_interner = _Interner("measure", b["intern_measures"])
-        self._stores = (self.transitions, self.decisions, self.measures, self.derived)
-
-    # -- lifecycle -----------------------------------------------------------
 
     def clear(self) -> None:
-        for store in self._stores:
-            store.clear()
-        self.fragments.clear()
-        self.measure_interner.clear()
+        self.transitions.clear()
 
     def invalidate(self, obj: Any) -> int:
-        """Drop every cached value derived from ``obj`` — entries whose
-        keepalive holds it by identity plus entries keyed under its
-        memoized fingerprint (which value-equal twins may share)."""
-        targets = self._stores + (self.fragments, self.measure_interner)
-        dropped = sum(target.invalidate_object(obj) for target in targets)
-        stale_fp = _fingerprint.peek(obj)
-        if stale_fp is not None:
-            part = ("fp", stale_fp)
-            dropped += sum(target.invalidate_key(part) for target in targets)
-        return dropped
+        """Drop every cached transition of ``obj``; returns the count."""
+        return self.transitions.invalidate_object(obj)
 
     def stats(self) -> Dict[str, Dict[str, int]]:
-        out: Dict[str, Dict[str, int]] = {}
-        for store in self._stores:
-            out[store.name] = {
+        store = self.transitions
+        return {
+            store.name: {
                 "size": store.size(),
                 "hits": store.hits.value,
                 "misses": store.misses.value,
                 "evictions": store.evictions.value,
             }
-        for interner in (self.fragments, self.measure_interner):
-            out[f"intern.{interner.name}"] = {
-                "size": interner.size(),
-                "hits": interner.hits.value,
-                "misses": interner.misses.value,
-            }
-        return out
+        }
 
 
 #: The singleton every call site binds against.
@@ -350,27 +189,26 @@ def configure(*, enabled: Optional[bool] = None) -> None:
 
 
 def clear() -> None:
-    # Forgetting memoized fingerprints alongside the entries they key keeps
-    # recycled ids from ever resolving to a stale digest.
+    # The fingerprint memo is identity-keyed too; forgetting it alongside
+    # the entries keeps recycled ids from ever resolving to a stale digest.
     CACHE.clear()
     _fingerprint.clear_memo()
 
 
 def invalidate(obj: Any) -> int:
-    """Drop every cached value derived from ``obj`` from both tiers.
+    """Drop every cached value derived from ``obj``.
 
-    In-memory entries go first (identity scan plus fingerprint-keyed
-    scan), then the fingerprint memo forgets the object — a later
-    fingerprint call re-hashes the mutated structure — and finally any
-    active persistent store drops the entries that depended on the stale
-    digest."""
+    The in-memory transitions go first; then the fingerprint memo forgets
+    the object, so a later fingerprint re-hashes the mutated structure.
+    When the object had been fingerprinted, a stored sweep may have
+    captured it, so an active persistent store drops its sweep results."""
     stale_fp = _fingerprint.peek(obj)
     dropped = CACHE.invalidate(obj)
     _fingerprint.forget(obj)
     if stale_fp is not None:
         persistent = _store.active_store()
         if persistent is not None:
-            persistent.invalidate(stale_fp)
+            persistent.invalidate()
     return dropped
 
 
@@ -378,94 +216,16 @@ def stats() -> Dict[str, Dict[str, int]]:
     return CACHE.stats()
 
 
-# -- call-site helpers ----------------------------------------------------------
-#
-# These are invoked from the hot paths (PSIOA.transition,
-# Scheduler.decide_checked, execution_measure) *after* the enabled check, so
-# the disabled path pays only one attribute read.
-
-
-def owner_key(obj: Any) -> Tuple[str, Any]:
-    """The cache owner key for ``obj``: its content hash when one is already
-    memoized, its identity otherwise.
-
-    This never *computes* a fingerprint (``peek`` is a dict probe), so hot
-    paths pay O(1) and the identity-keyed behaviour is preserved exactly
-    until a memo boundary — the persistent unfolding memo or the sweep
-    memo — has fingerprinted the object once.  From then on value-equal
-    objects resolve to the same owner and share entries.
-    """
-    digest = _fingerprint.peek(obj)
-    if digest is not None:
-        return ("fp", digest)
-    return ("id", id(obj))
-
-
 def cached_transition(automaton: Any, state: Hashable, action: Hashable) -> Any:
     """Memoized ``eta_(A, q, a)`` — calls the automaton's raw transition
-    function on a miss.  Lookup failures (disabled actions) propagate and
-    are never cached."""
-    owner = owner_key(automaton)
+    function on a miss.  Invoked from ``PSIOA.transition`` after its
+    enabled check.  Lookup failures (disabled actions) propagate and are
+    never cached."""
+    owner = id(automaton)
     key = (state, action)
     eta = CACHE.transitions.get(owner, key)
     if eta is not None:
         return eta
     eta = automaton._transition(state, action)
-    eta = intern_measure(automaton, eta)
     CACHE.transitions.put(owner, automaton, key, eta)
     return eta
-
-
-def cached_decision(scheduler: Any, automaton: Any, fragment: Hashable) -> Any:
-    """Memoized validated scheduler decision for ``(automaton, fragment)``."""
-    owner = (owner_key(scheduler), owner_key(automaton))
-    decision = CACHE.decisions.get(owner, fragment)
-    if decision is not None:
-        return decision
-    decision = scheduler._decide_checked_uncached(automaton, fragment)
-    CACHE.decisions.put(owner, (scheduler, automaton), fragment, decision)
-    return decision
-
-
-def cached_derived(owner_obj: Any, key: Hashable, compute: Callable[[], Any]) -> Any:
-    """Generic per-object memo for derived values (e.g. ``acts(A)``)."""
-    if not CACHE.enabled:
-        return compute()
-    owner = owner_key(owner_obj)
-    value = CACHE.derived.get(owner, key)
-    if value is not None:
-        return value
-    value = compute()
-    CACHE.derived.put(owner, owner_obj, key, value)
-    return value
-
-
-def measure_cache_get(automaton: Any, scheduler: Any, key: Hashable) -> Optional[Any]:
-    """Lookup of a memoized full unfolding; the key already encodes the
-    scheduler's owner key plus the unfolding parameters."""
-    return CACHE.measures.get(owner_key(automaton), key)
-
-
-def measure_cache_put(automaton: Any, scheduler: Any, key: Hashable, measure: Any) -> None:
-    # The scheduler rides inside the keepalive so the identity behind its
-    # owner key (part of the entry key) cannot be recycled while the entry
-    # lives.
-    CACHE.measures.put(owner_key(automaton), (automaton, scheduler), key, measure)
-
-
-def intern_fragment(automaton: Any, fragment: Any) -> Any:
-    """Return the canonical twin of ``fragment`` within ``automaton``'s scope
-    (equal and hash-equal; see :class:`_Interner` for why scoping matters)."""
-    return CACHE.fragments.intern(owner_key(automaton), automaton, fragment)
-
-
-def intern_measure(automaton: Any, measure: Any) -> Any:
-    """Return the canonical twin of an exact-weighted measure within
-    ``automaton``'s scope.
-
-    Measures with float weights are returned unchanged: their equality is
-    tolerance-based, so unifying them could alter float results downstream.
-    """
-    if not _weights_exact(measure):
-        return measure
-    return CACHE.measure_interner.intern(owner_key(automaton), automaton, measure)

@@ -3,9 +3,9 @@
 ``fingerprint(obj)`` returns a SHA-256 hex digest of a *canonical byte
 encoding* of the value's structure.  Two value-equal objects — the same
 automaton tables, the same scheduler parameters, the same measure weights
-— fingerprint identically in any process, which is what lets the perf
-cache key entries by content instead of ``id()`` and lets the persistent
-store (:mod:`repro.perf.store`) share entries across workers and restarts.
+— fingerprint identically in any process, which is what lets the
+persistent store (:mod:`repro.perf.store`) share sweep results across
+workers and restarts, and the job service coalesce identical submissions.
 
 Canonical means explicitly independent of:
 
@@ -30,7 +30,7 @@ subclasses inherit it):
 * :class:`~repro.core.signature.Signature`, fragments, fault plans — via
   the generic frozen-dataclass rule (compare fields only);
 * discrete measures — concrete class plus the exact weight mapping;
-* schedulers — concrete class, ``cacheable`` flag, and the instance
+* schedulers — concrete class and the instance
   parameters (callables encoded by reference when importable, else by
   value: code attributes, defaults, closure cells, referenced globals);
 * :class:`~repro.config.configuration.Configuration` — the member
@@ -40,17 +40,15 @@ subclasses inherit it):
   reachable state's signature and transition measures (plus hidden
   actions and created automata for PCA), capped by
   ``REPRO_FINGERPRINT_MAX_STATES`` (default ``2048``); past the cap the
-  value is :class:`Unfingerprintable` and callers fall back to identity
-  keys.
+  value is :class:`Unfingerprintable` and callers skip memoization.
 
 Domain values hash as a Merkle tree: each one contributes
 ``sha256(class, payload)`` to its parent's encoding, and that digest is
 memoized per object (identity-keyed, with a strong keepalive so ids can't
 recycle).  The memo makes repeated fingerprints of the same automaton
-O(1), and :func:`peek` exposes it *without ever computing* — the cache's
-owner keys stay on ``id()`` until a memo boundary has paid for the
-fingerprint once.  Mutating a fingerprinted object requires
-:func:`repro.perf.cache.invalidate`, which calls :func:`forget` here.
+O(1), and :func:`peek` exposes it *without ever computing*.  Mutating a
+fingerprinted object requires :func:`repro.perf.cache.invalidate`, which
+calls :func:`forget` here.
 
 Cycle safety: the encoder keeps an in-flight stack; re-encountering an
 object mid-encoding emits a back-reference by stack distance (canonical
@@ -76,9 +74,7 @@ __all__ = [
     "DEFAULT_MAX_STATES",
     "Unfingerprintable",
     "fingerprint",
-    "fingerprint_cached",
     "try_fingerprint",
-    "try_fingerprint_cached",
     "peek",
     "forget",
     "clear_memo",
@@ -87,7 +83,7 @@ __all__ = [
 #: Bump when the canonical encoding changes shape: persisted entries keyed
 #: under another version must never be read back (the store embeds this in
 #: its directory layout).
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 #: Behavioural-traversal cap for intensional automata; override with
 #: ``REPRO_FINGERPRINT_MAX_STATES``.
@@ -127,9 +123,8 @@ def _memo_put(oid: int, obj: Any, digest: Optional[str]) -> None:
 def peek(obj: Any) -> Optional[str]:
     """The memoized fingerprint of ``obj``, or ``None`` — never computes.
 
-    Returns ``None`` while ``obj`` is mid-encoding so cache lookups issued
-    from inside an automaton's own behavioural traversal fall back to
-    identity keys instead of recursing.
+    Returns ``None`` while ``obj`` is mid-encoding: its digest is not
+    final until the encoding returns.
     """
     entry = _MEMO.get(id(obj))
     if entry is None or entry[0] is not obj or entry[1] is None:
@@ -285,7 +280,7 @@ def _extract_measure(measure: Any) -> Any:
 
 
 def _extract_scheduler(scheduler: Any) -> Any:
-    return ("scheduler", bool(getattr(scheduler, "cacheable", True)), dict(vars(scheduler)))
+    return ("scheduler", dict(vars(scheduler)))
 
 
 def _extract_configuration(configuration: Any) -> Any:
@@ -539,26 +534,9 @@ def fingerprint(obj: Any) -> str:
     return hashlib.sha256(_encode(obj, ctx)).hexdigest()
 
 
-def fingerprint_cached(obj: Any) -> str:
-    """Like :func:`fingerprint`, but returns the memoized digest when one
-    exists (O(1) for warm automata and schedulers)."""
-    digest = peek(obj)
-    if digest is not None:
-        return digest
-    return fingerprint(obj)
-
-
 def try_fingerprint(obj: Any) -> Optional[str]:
     """:func:`fingerprint`, with ``None`` instead of an exception."""
     try:
         return fingerprint(obj)
-    except Unfingerprintable:
-        return None
-
-
-def try_fingerprint_cached(obj: Any) -> Optional[str]:
-    """:func:`fingerprint_cached`, with ``None`` instead of an exception."""
-    try:
-        return fingerprint_cached(obj)
     except Unfingerprintable:
         return None

@@ -1,10 +1,12 @@
-"""Disk-backed persistent cache keyed by structural fingerprints.
+"""Disk-backed persistent store of whole sweep results.
 
-The store turns the in-process perf cache into a cross-process,
-cross-restart one: entries are keyed by the content hashes of
-:mod:`repro.perf.fingerprint`, so a fork child, a socket worker, or a
-fresh interpreter computing the same unfolding (or the same whole sweep)
-finds the result on disk instead of recomputing it.
+The store turns :func:`repro.perf.parallel_map`'s sweep memo into a
+cross-process, cross-restart one: entries are keyed by the content hashes
+of :mod:`repro.perf.fingerprint`, so a fork child, a socket worker, or a
+fresh interpreter running the same sweep finds its results on disk
+instead of dispatching it again.  Sweeps are the only kind stored: a
+persisted unfolding tier cost more in fingerprinting than it saved (see
+``docs/performance.md``).
 
 Activation is purely environmental: ``REPRO_CACHE_DIR`` names the cache
 directory (the runner's ``--cache-dir`` flag exports it, and both the
@@ -22,21 +24,19 @@ On-disk format
 
     <REPRO_CACHE_DIR>/
       v<STORE_FORMAT>.<FINGERPRINT_VERSION>-py<major>.<minor>/
-        unfold/<automaton-fingerprint>/<entry-fingerprint>.pkl
         sweep/<shard>/<entry-fingerprint>.pkl
 
 The version segment bakes in the entry format, the fingerprint encoding
 version, and the Python minor version (pickled bytecode-adjacent values
 must not cross interpreters), so incompatible writers simply land in
-sibling trees.  Each entry is a pickled dict carrying ``format``,
-``kind`` and ``key`` echoes that are validated on read — a truncated,
-corrupt, or foreign file is a miss, never an error.  Writes go through a
-temporary file and :func:`os.replace`, so concurrent writers (fork
-children, socket workers on a shared filesystem) race benignly: last
-write wins, readers always see a complete entry.  The ``unfold`` kind is
-sharded by the *dependency* fingerprint (the automaton), which is what
-makes :func:`invalidate` cheap; ``sweep`` entries have no single
-dependency, so invalidation conservatively drops that whole kind.
+sibling trees.  The shard is the first two hex digits of the key.  Each
+entry is a pickled dict carrying ``format``, ``kind`` and ``key`` echoes
+that are validated on read — a truncated, corrupt, or foreign file is a
+miss, never an error.  Writes go through a temporary file and
+:func:`os.replace`, so concurrent writers (fork children, socket workers
+on a shared filesystem) race benignly: last write wins, readers always
+see a complete entry.  Sweep entries have no single dependency, so
+:meth:`PersistentStore.invalidate` drops the whole kind.
 
 Entries are trusted input: only point ``REPRO_CACHE_DIR`` at directories
 written by processes you trust, as entries are unpickled on read.
@@ -114,13 +114,13 @@ class PersistentStore:
         self.base = base
         self.root = os.path.join(base, version_tag())
 
-    def _path(self, kind: str, key: str, dep: Optional[str]) -> str:
-        return os.path.join(self.root, kind, dep or key[:2], key + ".pkl")
+    def _path(self, kind: str, key: str) -> str:
+        return os.path.join(self.root, kind, key[:2], key + ".pkl")
 
-    def get(self, kind: str, key: str, dep: Optional[str] = None) -> Any:
+    def get(self, kind: str, key: str) -> Any:
         """The stored value for ``(kind, key)``, or ``None`` on any miss."""
         try:
-            with open(self._path(kind, key, dep), "rb") as handle:
+            with open(self._path(kind, key), "rb") as handle:
                 entry = pickle.load(handle)
             if (
                 not isinstance(entry, dict)
@@ -135,9 +135,9 @@ class PersistentStore:
         _HITS.inc()
         return entry["value"]
 
-    def put(self, kind: str, key: str, value: Any, dep: Optional[str] = None) -> bool:
+    def put(self, kind: str, key: str, value: Any) -> bool:
         """Atomically persist ``value``; best-effort, False on failure."""
-        path = self._path(kind, key, dep)
+        path = self._path(kind, key)
         directory = os.path.dirname(path)
         try:
             os.makedirs(directory, exist_ok=True)
@@ -166,14 +166,9 @@ class PersistentStore:
         _WRITES.inc()
         return True
 
-    def invalidate(self, dep_fp: str) -> None:
-        """Drop every entry depending on the fingerprint ``dep_fp``.
-
-        Removes the ``unfold`` shard keyed by the automaton's fingerprint
-        and — because sweep entries fold their dependencies into one
-        opaque key — conservatively clears the whole ``sweep`` kind.
-        """
-        shutil.rmtree(os.path.join(self.root, "unfold", dep_fp), ignore_errors=True)
+    def invalidate(self) -> None:
+        """Drop every stored sweep: sweep entries fold their dependencies
+        into one opaque key, so no narrower invalidation is possible."""
         shutil.rmtree(os.path.join(self.root, "sweep"), ignore_errors=True)
         _INVALIDATIONS.inc()
 

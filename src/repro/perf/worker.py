@@ -235,8 +235,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="DIR",
         help=(
-            "persistent perf-cache directory (exports REPRO_CACHE_DIR so "
-            "chunk children dedupe unfoldings and sweeps against it; "
+            "persistent sweep-result directory (exports REPRO_CACHE_DIR so "
+            "sweeps run inside chunk children dedupe against it; "
             "defaults to the inherited environment, else the directory a "
             "client ships in its run frames)"
         ),

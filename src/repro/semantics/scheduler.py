@@ -29,7 +29,6 @@ from repro.core.executions import Fragment
 from repro.core.psioa import PSIOA
 from repro.core.signature import Action
 from repro.obs.metrics import counter as _counter
-from repro.perf import cache as _perf_cache
 from repro.probability.measures import SubDiscreteMeasure, convex_combination
 
 #: One increment per checked scheduling decision — the step count every
@@ -59,25 +58,11 @@ class Scheduler:
     calls.
     """
 
-    #: Schedulers are maps from fragments to decisions (Definition 3.1), so
-    #: decisions are cacheable by default.  A scheduler whose ``decide``
-    #: consults anything beyond ``(automaton, fragment)`` must set this to
-    #: False to stay out of the perf layer's decision cache.
-    cacheable: bool = True
-
     def decide(self, automaton: PSIOA, fragment: Fragment) -> SubDiscreteMeasure:
         raise NotImplementedError
 
     def decide_checked(self, automaton: PSIOA, fragment: Fragment) -> SubDiscreteMeasure:
-        # ``scheduler.steps`` counts *logical* decisions, so it is stable
-        # under the decision cache; ``perf.cache.decision.hits`` tells how
-        # many of them were served without recomputation.
         _SCHEDULER_STEPS.inc()
-        if _perf_cache.CACHE.enabled and self.cacheable:
-            return _perf_cache.cached_decision(self, automaton, fragment)
-        return self._decide_checked_uncached(automaton, fragment)
-
-    def _decide_checked_uncached(self, automaton: PSIOA, fragment: Fragment) -> SubDiscreteMeasure:
         decision = self.decide(automaton, fragment)
         enabled = automaton.signature(fragment.lstate).all_actions
         stray = decision.support() - enabled

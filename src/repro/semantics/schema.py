@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.psioa import PSIOA, reachable_states
 from repro.core.signature import Action
-from repro.perf import cache as _perf_cache
 from repro.semantics.scheduler import (
     ActionSequenceScheduler,
     DeterministicScheduler,
@@ -57,19 +56,11 @@ class SchedulerSchema:
 
 
 def _automaton_actions(automaton: PSIOA, *, max_states: int = 10_000) -> List[Action]:
-    """``acts(A)`` for a finite-reachable automaton, in canonical order.
-
-    Memoized per automaton object via the perf layer's derived-value cache:
-    schema enumeration re-derives the alphabet for every member batch, but
-    it is a pure function of the automaton's reachable fragment.
-    """
-    def compute() -> List[Action]:
-        actions = set()
-        for state in reachable_states(automaton, max_states=max_states):
-            actions |= automaton.signature(state).all_actions
-        return sorted(actions, key=repr)
-
-    return _perf_cache.cached_derived(automaton, ("acts", max_states), compute)
+    """``acts(A)`` for a finite-reachable automaton, in canonical order."""
+    actions = set()
+    for state in reachable_states(automaton, max_states=max_states):
+        actions |= automaton.signature(state).all_actions
+    return sorted(actions, key=repr)
 
 
 def enumerate_action_sequences(

@@ -296,6 +296,27 @@ class TestLanes:
         text = profile.format_lanes([_lane_payload()])
         assert "worker x (pid 111)" in text and "phase.p" in text
 
+    def test_inline_lanes_hold_only_their_own_experiment(self):
+        # Inline runs share one profiler; each experiment's lane must not
+        # carry the experiments that ran before it.
+        from repro.api import RunConfig, run_suite
+
+        def e9_calls(experiments):
+            config = RunConfig(isolated=False, profile=True, cache="on")
+            try:
+                result = run_suite(experiments, config=config)
+            finally:
+                profile.disable()
+                profile.clear()
+            assert result.ok
+            lanes = result.report["summary"]["profile"]["lanes"]
+            (lane,) = [lane for lane in lanes if lane["lane"].startswith("E9:")]
+            return {phase: totals["calls"] for phase, totals in lane["phases"].items()}
+
+        alone = e9_calls(["E9"])
+        assert alone.get("scheduler.step", 0) > 0
+        assert e9_calls(["E3", "E9"]) == alone
+
 
 # -- critical path and stragglers --------------------------------------------------
 

@@ -201,9 +201,7 @@ class TestProfileDifferential:
 
 
 class _CountingScheduler(Scheduler):
-    """Counts logical decisions per fragment (bypasses the decision cache)."""
-
-    cacheable = False
+    """Counts decisions per fragment."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -254,14 +252,17 @@ class TestDecideOnce:
         assert sum(scheduler.calls.values()) == 5
         assert metrics.counter("scheduler.steps").value == 5
 
-    def test_memoized_unfolding_adds_no_decisions(self):
+    def test_repeated_unfolding_redecides_every_fragment(self):
+        # The cache memoizes transitions only: a repeated unfolding of the
+        # same pair decides all 5 fragments again, and the transition tier
+        # is the only one the cache reports.
         perf_cache.configure(enabled=True)
         perf_cache.clear()
         scheduler = _CountingScheduler(ActionSequenceScheduler(["a", "b"]))
-        scheduler.cacheable = True
         automaton = _branching_automaton()
-        execution_measure(automaton, scheduler)
-        first_round = sum(scheduler.calls.values())
-        assert first_round == 5
-        execution_measure(automaton, scheduler)
-        assert sum(scheduler.calls.values()) == first_round
+        first = execution_measure(automaton, scheduler)
+        assert sum(scheduler.calls.values()) == 5
+        second = execution_measure(automaton, scheduler)
+        assert sum(scheduler.calls.values()) == 10
+        assert first == second
+        assert set(perf_cache.stats()) == {"transition"}

@@ -1,19 +1,14 @@
-"""Property-based tests of the perf layer's interning and cache soundness.
+"""Property-based tests of the perf layer's transition-cache soundness.
 
 The contract under test (see ``docs/performance.md``):
 
-* interned Fragment / DiscreteMeasure twins are **the same object**, equal
-  and hash-equal to their uninterned counterparts — interning is invisible
-  to any equality- or hash-based consumer;
-* interning is scoped per automaton: value-equal objects from *different*
-  automata are never unified (automaton equality is name-based, so
-  cross-automaton twins may differ semantically);
-* float-weighted measures are never interned (their equality is
-  tolerance-based);
+* a cached transition is the very object the automaton produced, and
+  equal to an uncached recomputation;
 * a mutated automaton plus :func:`repro.perf.cache.invalidate` never serves
   a stale transition;
-* the bounded stores respect their entry caps and count evictions;
-* ``REPRO_CACHE=off`` (via ``configure``) keeps every store empty.
+* the bounded store respects its entry and owner caps and counts evictions;
+* ``REPRO_CACHE=off`` (via ``configure``) keeps the store empty;
+* unfoldings are identical with and without the cache.
 """
 
 from fractions import Fraction
@@ -22,13 +17,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.executions import Fragment
 from repro.core.psioa import TablePSIOA
 from repro.core.signature import Signature
-from repro.obs import metrics
 from repro.perf import cache as perf_cache
 from repro.perf.cache import _BoundedStore
-from repro.probability.measures import DiscreteMeasure, dirac
+from repro.probability.measures import dirac
 from repro.semantics.measure import execution_measure
 from repro.semantics.scheduler import DeterministicScheduler, bound_scheduler
 from repro.systems.factory import random_psioa
@@ -46,71 +39,6 @@ def make(seed, name="X", **kw):
 def _fresh_cache():
     perf_cache.configure(enabled=True)
     perf_cache.clear()
-
-
-def _some_fragments(automaton, bound=4):
-    scheduler = bound_scheduler(DeterministicScheduler.greedy(), bound)
-    return sorted(execution_measure(automaton, scheduler).support(), key=repr)
-
-
-class TestInternedTwins:
-    @given(SEEDS)
-    @settings(max_examples=25, deadline=None)
-    def test_fragment_twins_equal_and_hash_equal(self, seed):
-        automaton = make(seed, n_states=5, n_actions=3)
-        _fresh_cache()
-        for fragment in _some_fragments(automaton):
-            twin = Fragment(tuple(fragment.states), tuple(fragment.actions))
-            assert twin is not fragment
-            canonical = perf_cache.intern_fragment(automaton, fragment)
-            canonical_twin = perf_cache.intern_fragment(automaton, twin)
-            assert canonical_twin is canonical
-            assert canonical == twin and canonical == fragment
-            assert hash(canonical) == hash(twin) == hash(fragment)
-
-    @given(SEEDS)
-    @settings(max_examples=25, deadline=None)
-    def test_measure_twins_equal_and_identical(self, seed):
-        automaton = make(seed, n_states=4, n_actions=3)
-        _fresh_cache()
-        for state in automaton.states:
-            for action in automaton.enabled(state):
-                eta = automaton.transitions[(state, action)]
-                twin = DiscreteMeasure(dict(eta.items()))
-                canonical = perf_cache.intern_measure(automaton, eta)
-                canonical_twin = perf_cache.intern_measure(automaton, twin)
-                assert canonical_twin is canonical
-                assert canonical == twin and hash(canonical) == hash(twin)
-
-    def test_interning_is_scoped_per_automaton(self):
-        # Name-based automaton equality means value-equal objects from two
-        # automata may be semantically different — they must not unify.
-        first = coin_automaton("same-name", Fraction(1, 2))
-        second = coin_automaton("same-name", Fraction(1, 3))
-        _fresh_cache()
-        fragment = Fragment.initial("q0")
-        twin = Fragment.initial("q0")
-        c1 = perf_cache.intern_fragment(first, fragment)
-        c2 = perf_cache.intern_fragment(second, twin)
-        assert c1 is fragment and c2 is twin and c1 is not c2
-
-    def test_float_measures_are_never_interned(self):
-        automaton = coin_automaton("float", Fraction(1, 2))
-        _fresh_cache()
-        m1 = DiscreteMeasure({"a": 0.5, "b": 0.5})
-        m2 = DiscreteMeasure({"a": 0.5, "b": 0.5})
-        assert perf_cache.intern_measure(automaton, m1) is m1
-        assert perf_cache.intern_measure(automaton, m2) is m2
-        assert perf_cache.CACHE.measure_interner.size() == 0
-
-    def test_repeat_interning_counts_hits(self):
-        automaton = coin_automaton("hits", Fraction(1, 2))
-        _fresh_cache()
-        before = metrics.counter("perf.intern.fragment.hits").value
-        fragment = Fragment.initial("q0")
-        perf_cache.intern_fragment(automaton, fragment)
-        perf_cache.intern_fragment(automaton, Fragment.initial("q0"))
-        assert metrics.counter("perf.intern.fragment.hits").value == before + 1
 
 
 class TestCacheSoundness:
@@ -151,11 +79,8 @@ class TestCacheSoundness:
         scheduler = bound_scheduler(DeterministicScheduler.greedy(), 3)
         _fresh_cache()
         execution_measure(automaton, scheduler)
-        assert perf_cache.CACHE.measures.size() == 1
-        assert perf_cache.CACHE.decisions.size() > 0
+        assert perf_cache.CACHE.transitions.size() > 0
         perf_cache.invalidate(automaton)
-        assert perf_cache.CACHE.measures.size() == 0
-        assert perf_cache.CACHE.decisions.size() == 0
         assert perf_cache.CACHE.transitions.size() == 0
 
     def test_disabled_cache_stays_empty(self):
@@ -196,8 +121,6 @@ class TestCacheSoundness:
         scheduler = bound_scheduler(DeterministicScheduler.greedy(), 5)
         _fresh_cache()
         cached = execution_measure(automaton, scheduler)
-        memoized = execution_measure(automaton, scheduler)
-        assert memoized is cached
         perf_cache.configure(enabled=False)
         uncached = execution_measure(automaton, scheduler)
         perf_cache.configure(enabled=True)

@@ -2,12 +2,12 @@
 
 The disk-backed store (``REPRO_CACHE_DIR`` / ``--cache-dir``,
 :mod:`repro.perf.store`) must be *invisible in results*: a run served from
-a warmed store — unfoldings and whole sweep results alike — produces a
-report byte-identical to a cold run, on every transport the sweeps can fan
-out over (serial, forked children, a live socket pool).  The warm pass
-must actually be warm (nonzero persistent and sweep-memo hit counters), and
-mutating an automaton after caching must never serve stale fingerprinted
-entries from either the in-memory or the disk tier.
+a warmed store of whole sweep results produces a report byte-identical to
+a cold run, on every transport the sweeps can fan out over (serial, forked
+children, a live socket pool).  The warm pass must actually be warm
+(nonzero persistent and sweep-memo hit counters), and mutating an
+automaton after caching must never serve stale entries from either the
+in-memory or the disk tier.
 """
 
 import json
@@ -203,6 +203,14 @@ def _support_lstates(measure):
     return sorted(fragment.states[-1] for fragment in measure.support())
 
 
+def _unfold_sweep(automaton):
+    """A sweep function capturing ``automaton`` by value in its closure:
+    each item is an action script, unfolded into its final states."""
+    return lambda script: _support_lstates(
+        execution_measure(automaton, ActionSequenceScheduler(script))
+    )
+
+
 class TestInvalidation:
     def test_mutation_not_served_from_memory_tier(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
@@ -220,29 +228,32 @@ class TestInvalidation:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
         perf_cache.configure(enabled=True)
         automaton = _measure_automaton()
-        execution_measure(automaton, ActionSequenceScheduler(["a"]))
+        assert parallel_map(_unfold_sweep(automaton), [("a",)]) == [["q1", "q2"]]
         writes = metrics.counter("perf.cache.persistent.writes")
         assert writes.value > 0
-        # invalidate removes the disk entries keyed by the old fingerprint;
-        # a *fresh process* (simulated by clearing every in-memory tier)
-        # recomputing the structurally-original automaton must then miss.
+        # The sweep key embeds the automaton's memoized fingerprint.
+        # invalidate forgets that digest and drops the stored sweeps, so the
+        # mutated automaton recomputes, and a *fresh process* (simulated by
+        # clearing the in-memory tier) sweeping the structurally-original
+        # automaton must miss too.
         automaton.transitions[("q0", "a")] = dirac("q1")
         perf_cache.invalidate(automaton)
+        assert parallel_map(_unfold_sweep(automaton), [("a",)]) == [["q1"]]
         perf_cache.clear()
         hits = metrics.counter("perf.cache.persistent.hits")
-        rebuilt = execution_measure(_measure_automaton(), ActionSequenceScheduler(["a"]))
+        rebuilt = parallel_map(_unfold_sweep(_measure_automaton()), [("a",)])
         assert hits.value == 0
-        assert _support_lstates(rebuilt) == ["q1", "q2"]
+        assert rebuilt == [["q1", "q2"]]
 
     def test_unmutated_rebuild_hits_disk_across_simulated_restart(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
         perf_cache.configure(enabled=True)
-        first = execution_measure(_measure_automaton(), ActionSequenceScheduler(["a"]))
-        perf_cache.clear()  # drop every in-memory tier; the disk survives
+        first = parallel_map(_unfold_sweep(_measure_automaton()), [("a",)])
+        perf_cache.clear()  # drop the in-memory tier; the disk survives
         hits = metrics.counter("perf.cache.persistent.hits")
-        second = execution_measure(_measure_automaton(), ActionSequenceScheduler(["a"]))
+        second = parallel_map(_unfold_sweep(_measure_automaton()), [("a",)])
         assert hits.value > 0
         assert first == second
 
@@ -265,7 +276,7 @@ class TestInvalidation:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
         store = perf_store.active_store()
         assert store.put("sweep", "ab" * 32, [1, 2, 3])
-        path = store._path("sweep", "ab" * 32, None)
+        path = store._path("sweep", "ab" * 32)
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
         assert store.get("sweep", "ab" * 32) is None  # a miss, not a crash

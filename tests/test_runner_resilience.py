@@ -105,3 +105,22 @@ class TestRunnerCli:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "E15" in out and "E1" in out
+
+    def test_help_states_each_default_once_and_truly(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        # One entry per argument: its first line plus wrapped continuations.
+        entries = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  ") and not line.startswith("   "):
+                name = line.split()[0]
+                entries[name] = line.strip()
+            elif line.startswith("   ") and entries:
+                entries[name] += " " + line.strip()
+        assert {"experiments", "--fail-fast", "--no-isolation", "--cache"} <= set(entries)
+        for name, entry in entries.items():
+            assert entry.count("(default") <= 1, entry
+            for false_default in ("(default: True)", "(default: False)", "(default: None)"):
+                assert false_default not in entry, entry
+        assert "only sweep results persist" in entries["--cache-dir"]
